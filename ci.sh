@@ -17,6 +17,13 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 
+echo "==> cargo test --manifest-path perfbench/Cargo.toml"
+# The benchmark package is its own workspace. Its small-strip traced run
+# checks engine `radio.rx` against the counts the beacons kept themselves
+# and the traced run against the untraced EngineStamp, which guards the
+# scan-path neighbor queries on every CI run.
+cargo test --manifest-path perfbench/Cargo.toml --quiet
+
 echo "==> paper shape gate (validate_shapes quick)"
 cargo run --release -p blackdp-bench --bin validate_shapes -- quick
 

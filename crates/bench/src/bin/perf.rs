@@ -86,7 +86,7 @@ const TOLERANCE: f64 = 1.25;
 const MIN_PARALLEL_SPEEDUP: f64 = 2.0;
 /// The seed tree's end-to-end throughput (`e2e_trials_per_s` recorded in
 /// BENCH_pr2.json before the raw-speed pass), the denominator for
-/// `e2e_speedup_vs_seed`. ROADMAP item 3 targets 5x this figure.
+/// `e2e_speedup_vs_seed`, whose floor is in [`SPEEDUP_FLOORS`].
 const SEED_TRIALS_PER_S: f64 = 157.5;
 /// Signatures per batch in the RREP-storm measurement. Well past the
 /// "batch ≥ 16" point the acceptance gate cares about, and big enough
@@ -546,12 +546,10 @@ fn measure_event_loop_allocs(m: &mut Metrics) {
 /// [`SPEEDUP_FLOORS`] instead; everything listed here is a per-operation
 /// figure that, after machine-speed normalization, is stable run-to-run.
 fn gated(name: &str) -> bool {
-    // `neighbor_grid_ns_60` is excluded: worlds at or below
-    // `SMALL_WORLD_SCAN_MAX` (64) slots deliberately answer neighbor
-    // queries by brute-force scan — in the sim every jittered broadcast
-    // lands on a fresh timestamp, so the grid would rebuild per query —
-    // and the bench's repeated same-timestamp queries make that engine
-    // choice look like a grid regression when it is the opposite trade.
+    // `neighbor_grid_ns_60` is excluded: its recorded baseline was taken
+    // while worlds of at most 64 slots answered `neighbors_of` by scan,
+    // so it does not measure the grid this leg now times. Gate it again
+    // once a baseline recorded on the grid is checked in.
     (name.starts_with("neighbor_grid_ns_") && name != "neighbor_grid_ns_60")
         || matches!(
             name,
@@ -681,10 +679,9 @@ fn main() {
     // everyone's face so it gets corrected instead of quoted.
     println!(
         "\ne2e throughput: {trials_per_s:.1} trials/s vs the recorded {SEED_TRIALS_PER_S:.1}/s \
-         seed baseline ({:+.1} trials/s, {:.2}x; ROADMAP item 3 targets 5x = {:.1}/s)",
+         seed baseline ({:+.1} trials/s, {:.2}x)",
         trials_per_s - SEED_TRIALS_PER_S,
         trials_per_s / SEED_TRIALS_PER_S,
-        5.0 * SEED_TRIALS_PER_S,
     );
 
     // Every gated metric is per-operation and mode-independent (smoke and
@@ -755,7 +752,7 @@ fn main() {
         let value = latest.get(name).unwrap_or(0.0);
         if value < floor {
             failures.push(format!(
-                "{name}: {value:.1}x below the required {floor:.0}x"
+                "{name}: {value:.2}x below the required {floor}x"
             ));
         }
     }

@@ -8,8 +8,8 @@
 //!    count. Every sharded run must finish on the **same** `EngineStamp`
 //!    and `Stats::digest` as the serial oracle (the differential claim,
 //!    re-checked at benchmark scale), and the recorded events/s must show
-//!    the algorithmic win: the serial grid rebuilds O(N) at every jittered
-//!    broadcast timestamp, while the sharded backend's motion-bound
+//!    the algorithmic win: the serial backend pays an O(N) scan at every
+//!    jittered broadcast, while the sharded backend's motion-bound
 //!    staleness horizon makes rebuilds rare. Gates: best sharded speedup
 //!    ≥ [`SPEEDUP_FLOOR`] over serial, and a tolerance-monotone curve —
 //!    on a one-core container extra shards cannot help, but they must
@@ -66,9 +66,9 @@ const LANE_THRESHOLD: usize = 4;
 
 /// A beacon on a straight-line trajectory that rebroadcasts on a periodic
 /// timer. Periods and phases are staggered per index so broadcasts land
-/// on distinct timestamps — the access pattern that forces the serial
-/// grid to rebuild O(N) per broadcast while the sharded backend's
-/// staleness horizon keeps its index live.
+/// on distinct timestamps — the access pattern that leaves the serial
+/// backend an O(N) scan per broadcast (a grid build would cost more)
+/// while the sharded backend's staleness horizon keeps its index live.
 struct Beacon {
     start: Position,
     velocity_x: f64,

@@ -323,9 +323,8 @@ impl FuzzCase {
     pub fn random(rng: &mut StdRng) -> FuzzCase {
         FuzzCase {
             seed: rng.random(),
-            // Upper range reaches past the small-world scan threshold
-            // (64 slots) so drawn shard counts actually exercise the
-            // sharded index, not the scan override.
+            // The upper range populates several shard bands, so drawn
+            // shard counts split the world across real band boundaries.
             vehicles: rng.random_range(10..=80),
             sim_secs: rng.random_range(10..=25),
             data_packets: rng.random_range(2..=20),
@@ -784,8 +783,7 @@ mod tests {
 
     #[test]
     fn shard_count_never_changes_the_detection_outcome() {
-        // Above the small-world scan threshold so the sharded index is
-        // actually on the query path, not the scan override.
+        // Enough vehicles to populate several shard bands.
         let mut case = FuzzCase::baseline(21);
         case.vehicles = 70;
         let serial = run_case(&case).outcome.unwrap();

@@ -1,17 +1,21 @@
 //! Spatial hash grid backing the radio medium's neighbor queries.
 //!
-//! Broadcasts used to scan every node in the world — O(N) per transmission,
-//! O(N²) per beacon interval at highway densities. The grid hashes node
+//! A brute-force neighbor query scans every node in the world — O(N) per
+//! query, O(N²) per beacon interval at highway densities. The grid hashes node
 //! positions into square cells whose side equals the radio range, so any
 //! receiver within range of a sender lies in the sender's cell or one of the
 //! eight surrounding cells: a query inspects at most 9 buckets instead of
 //! the whole population.
 //!
-//! The grid is rebuilt lazily, at most once per (virtual-timestamp, node
-//! count) pair, exploiting the engine invariant that node trajectories are
-//! pure functions of time — a position evaluated once per tick is exact for
-//! the whole tick. Bucket vectors and the position cache are retained
-//! across rebuilds so the steady-state hot path performs no allocation.
+//! The grid is rebuilt lazily, at most once per `(virtual timestamp, slot
+//! count)` stamp: node trajectories are pure functions of time, so a
+//! position evaluated once per tick holds for the whole tick. A build
+//! evaluates and hashes every position, which costs more than one linear
+//! scan, and radio jitter puts almost every broadcast on a fresh stamp; so
+//! the world answers broadcasts with the scan and builds this grid only
+//! for `World::neighbors_of`, the differential oracle of the sharded
+//! index. Bucket vectors and the position cache are retained across
+//! rebuilds so the steady-state hot path performs no allocation.
 //!
 //! Results are **bit-identical** to the brute-force scan: the inclusive
 //! range check uses the same `distance <= range` comparison on the same
@@ -87,6 +91,9 @@ pub(crate) struct SpatialGrid {
     /// low-to-high with `trailing_zeros` emits candidates in ascending
     /// index order without a sort. Invariant: all-zero between queries.
     cand_mask: Vec<u64>,
+    /// Rebuilds performed, for the world's build-count test.
+    #[cfg(test)]
+    pub(crate) builds: u64,
 }
 
 /// The grid cell containing `p` for the given cell side length. Shared
@@ -106,6 +113,8 @@ impl SpatialGrid {
             bounds: None,
             cand_dist: Vec::new(),
             cand_mask: Vec::new(),
+            #[cfg(test)]
+            builds: 0,
         }
     }
 
@@ -119,6 +128,10 @@ impl SpatialGrid {
         nodes: impl Iterator<Item = (u32, Position)>,
     ) {
         debug_assert!(cell_size > 0.0 && cell_size.is_finite());
+        #[cfg(test)]
+        {
+            self.builds += 1;
+        }
         self.cell_size = cell_size;
         for bucket in self.buckets.values_mut() {
             bucket.clear();

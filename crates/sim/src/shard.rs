@@ -1,9 +1,9 @@
 //! Spatially sharded neighbor index: the million-vehicle backend.
 //!
-//! The serial [`SpatialGrid`](crate::grid::SpatialGrid) rebuilds all N
-//! buckets at every distinct `(timestamp, slot-count)` pair. Radio jitter
-//! gives almost every broadcast a fresh timestamp, so at highway densities
-//! the serial backend pays an O(N) rebuild per transmission — the dominant
+//! The serial [`SpatialGrid`](crate::grid::SpatialGrid) is exact for one
+//! `(timestamp, slot-count)` stamp only. Radio jitter gives almost every
+//! broadcast a fresh stamp, so the serial backend answers every
+//! transmission with an O(N) scan (a build would cost more) — the dominant
 //! cost once N reaches 10⁵. This module shards the highway into contiguous
 //! **bands of grid-cell columns** (reusing `grid::cell_of` geometry so band
 //! boundaries and serial cell boundaries coincide) and makes rebuilds both
@@ -205,16 +205,25 @@ pub(crate) struct ShardedIndex {
     cross_band_candidates: u64,
 }
 
+/// Whether `motion_bound_mps` selects exact mode: no staleness horizon,
+/// so the index is rebuilt on every new timestamp. Any non-finite or
+/// negative bound does; a finite non-negative one enables the horizon.
+/// In exact mode the world answers broadcasts by scan, since an index
+/// built for one timestamp would serve about one query.
+pub(crate) fn exact_mode(motion_bound_mps: f64) -> bool {
+    !(motion_bound_mps.is_finite() && motion_bound_mps >= 0.0)
+}
+
 impl ShardedIndex {
     /// Creates an index for `shards` bands over queries of radius `range`.
     ///
     /// `motion_bound_mps` bounds every node's speed: finite values enable
     /// the staleness horizon (`0` = static world, never expires); any
-    /// non-finite or negative value selects exact per-timestamp rebuilds.
+    /// non-finite or negative value selects exact per-timestamp rebuilds
+    /// (see [`exact_mode`]).
     pub(crate) fn new(shards: usize, range: f64, motion_bound_mps: f64) -> Self {
         let shards = shards.max(1);
-        let exact = !(motion_bound_mps.is_finite() && motion_bound_mps >= 0.0)
-            || motion_bound_mps.is_infinite();
+        let exact = exact_mode(motion_bound_mps);
         let horizon_micros = if exact {
             0
         } else if motion_bound_mps == 0.0 {

@@ -11,7 +11,7 @@ use crate::fault::{FaultInjector, FaultPlan, Transition};
 use crate::grid::SpatialGrid;
 use crate::node::{Context, Effect, Node, StatSink, TIMER_LOCAL_BITS};
 use crate::oracle::{InvariantCheck, Oracle, SimEvent, Violation};
-use crate::shard::{ShardDiagnostics, ShardedIndex, SlotView};
+use crate::shard::{exact_mode, ShardDiagnostics, ShardedIndex, SlotView};
 use crate::{Duration, NodeId, Stats, Time};
 
 #[path = "executor.rs"]
@@ -34,11 +34,6 @@ pub enum RadioModel {
     },
 }
 
-/// Worlds with at most this many node slots answer broadcast queries by
-/// brute-force scan regardless of the configured [`NeighborIndex`]: one
-/// grid rebuild costs more than scanning the whole population.
-const SMALL_WORLD_SCAN_MAX: usize = 64;
-
 /// The data structure the radio medium uses to find broadcast receivers.
 ///
 /// Both strategies yield **bit-identical** simulations: the grid applies the
@@ -47,8 +42,13 @@ const SMALL_WORLD_SCAN_MAX: usize = 64;
 /// draw (fading, loss, burst, jitter) happens in the same sequence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NeighborIndex {
-    /// Spatial hash grid with cell size `radio_range_m`: O(neighbors) per
-    /// broadcast, rebuilt at most once per virtual timestamp. The default.
+    /// Spatial index (see [`WorldBackend`]) where one outlives a
+    /// timestamp: broadcasts query the sharded index with a staleness
+    /// horizon. A per-timestamp index (the serial grid, or the sharded
+    /// index in exact mode) must evaluate and hash every position before
+    /// it answers, which costs more than a scan, and radio jitter puts
+    /// almost every broadcast on a fresh timestamp; so those backends
+    /// answer broadcasts with the scan. The default.
     #[default]
     Grid,
     /// Brute-force scan over every node: O(N) per broadcast. Kept as the
@@ -64,14 +64,16 @@ pub enum NeighborIndex {
 /// `Stats::digest`, and [`EngineStamp`] witnesses for any shard count. The
 /// backend only changes how fast queries are answered.
 ///
-/// The backend applies when [`NeighborIndex::Grid`] is selected (the
-/// default); `NeighborIndex::Scan` and small worlds
-/// (≤ `SMALL_WORLD_SCAN_MAX` slots) always use the brute-force scan.
+/// On the broadcast path the backend applies only to the sharded index
+/// with a staleness horizon under [`NeighborIndex::Grid`] (the default);
+/// every other combination answers broadcasts with the brute-force scan
+/// (see [`NeighborIndex::Grid`]). [`World::neighbors_of`] always queries
+/// the backend's index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WorldBackend {
-    /// The serial [`SpatialGrid`], rebuilt once per `(timestamp, slots)`
-    /// stamp. The default, and the differential oracle for the sharded
-    /// backend.
+    /// The serial [`SpatialGrid`], rebuilt per `(timestamp, slots)` stamp
+    /// for [`World::neighbors_of`]; broadcasts scan. The default, and the
+    /// differential oracle for the sharded backend.
     #[default]
     Serial,
     /// Spatially sharded index: contiguous bands of grid-cell columns with
@@ -141,7 +143,8 @@ pub struct WorldConfig {
     /// slack, so rebuilds happen every `~range / (2 · bound)` virtual
     /// seconds instead of every timestamp. `f64::INFINITY` (the default)
     /// disables the horizon — the sharded index rebuilds on every new
-    /// timestamp, exact for arbitrary motion. `0.0` declares a static
+    /// timestamp, exact for arbitrary motion, so broadcasts scan instead
+    /// (see [`NeighborIndex::Grid`]). `0.0` declares a static
     /// world (never rebuild). Declaring a bound smaller than a node's
     /// actual speed breaks the coverage guarantee; the serial backend
     /// ignores this field.
@@ -261,7 +264,8 @@ pub struct World<P, T> {
     tamper: Option<TamperHook<P>>,
     /// Installed invariant checks, if any (`None` = zero-cost path).
     oracle: Option<Box<Oracle<P>>>,
-    /// Spatial index over active-node positions, rebuilt lazily.
+    /// Spatial index over active-node positions, built lazily by
+    /// [`World::neighbors_of`] under the serial backend.
     grid: SpatialGrid,
     /// `(timestamp, slot count)` the grid was last built for. Positions are
     /// pure functions of time and the active set only shrinks within a
@@ -470,7 +474,8 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
 
     /// Installs a [`BoundaryTap`] observing radio deliveries that cross a
     /// shard-band boundary. Replaces any previous tap. Inert unless the
-    /// backend is [`WorldBackend::Sharded`] and large enough to index.
+    /// backend is [`WorldBackend::Sharded`] and its index has been built
+    /// (in exact mode only [`Self::neighbors_of`] builds it).
     pub fn set_boundary_tap(&mut self, tap: BoundaryTap<P>) {
         self.boundary_tap = Some(tap);
     }
@@ -1079,6 +1084,13 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
     /// node (other than `sender`) within radio range of `sender` now, in
     /// ascending index order — the order the linear scan enumerates nodes,
     /// which fixes the sequence of per-receiver random draws.
+    ///
+    /// Only the sharded index with a staleness horizon is queried; it
+    /// outlives a timestamp. A per-timestamp index would be built for
+    /// about one query, since jitter gives almost every broadcast a fresh
+    /// timestamp, and a build costs more than the scan. Scan and index are
+    /// bit-identical (same inclusive range check, same ascending-id order),
+    /// so the choice cannot perturb a trace.
     fn collect_broadcast_receivers(&mut self, sender: NodeId, out: &mut Vec<(u32, f64)>) {
         out.clear();
         let Some(from_pos) = self.position_of(sender) else {
@@ -1086,55 +1098,74 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
             // broadcasts into the void, matching the scan path.
             return;
         };
-        let range = self.cfg.radio_range_m;
-        // Small worlds: the O(N) scan beats the grid outright. Jittered
-        // transmissions land on fresh timestamps, so nearly every broadcast
-        // would pay a full grid rebuild to answer a single query — more
-        // work than walking a few dozen slots directly. Both strategies
-        // are bit-identical (same inclusive range check, same ascending-id
-        // order), so the switch cannot perturb a trace.
-        let index = if self.nodes.len() <= SMALL_WORLD_SCAN_MAX {
-            NeighborIndex::Scan
+        let horizon_index = self.cfg.neighbor_index == NeighborIndex::Grid
+            && matches!(self.cfg.backend, WorldBackend::Sharded { .. })
+            && !exact_mode(self.cfg.motion_bound_mps);
+        if horizon_index {
+            self.query_index(from_pos, sender, out);
         } else {
-            self.cfg.neighbor_index
-        };
-        match index {
-            NeighborIndex::Scan => {
-                for (i, slot) in self.nodes.iter().enumerate() {
-                    let index = i as u32;
-                    if index == sender.index() || !slot.active {
-                        continue;
-                    }
-                    let dist = from_pos.distance_to(slot.node.position(self.now));
-                    if dist <= range {
-                        out.push((index, dist));
-                    }
-                }
+            self.scan_receivers(from_pos, sender, out);
+        }
+    }
+
+    /// The brute-force receiver scan behind most broadcasts.
+    ///
+    /// The axis prefilter is exact: rounding and `sqrt` are monotone and
+    /// `sqrt(fl(dx * dx)) == |dx|`, so a slot with `|dx| > range` (or
+    /// `|dy| > range`) can never pass `distance_to(..) <= range`.
+    fn scan_receivers(&self, from_pos: crate::Position, sender: NodeId, out: &mut Vec<(u32, f64)>) {
+        let range = self.cfg.radio_range_m;
+        for (i, slot) in self.nodes.iter().enumerate() {
+            let index = i as u32;
+            if index == sender.index() || !slot.active {
+                continue;
             }
-            NeighborIndex::Grid => match self.cfg.backend {
-                WorldBackend::Serial => {
-                    self.ensure_grid();
-                    self.grid.query_into(from_pos, range, sender.index(), out);
-                    // The grid was built at the start of this timestamp;
-                    // drop nodes despawned since (the active set only
-                    // shrinks). The query already yields ascending index
-                    // order — the order the brute-force scan produces.
-                    out.retain(|&(index, _)| self.nodes[index as usize].active);
-                }
-                WorldBackend::Sharded { shards } => {
-                    self.ensure_sharded(shards);
-                    let World {
-                        sharded, nodes, now, ..
-                    } = self;
-                    let view = SlotsView(nodes.as_slice());
-                    let index = sharded.as_mut().expect("ensure_sharded installed it");
-                    // The sharded index filters `active` per candidate and
-                    // evaluates positions live, so no retain pass is
-                    // needed: the emitted set already matches the scan.
-                    index.refresh(&view, *now);
-                    index.query_into(&view, *now, from_pos, sender.index(), out);
-                }
-            },
+            let pos = slot.node.position(self.now);
+            if (pos.x - from_pos.x).abs() > range || (pos.y - from_pos.y).abs() > range {
+                continue;
+            }
+            let dist = from_pos.distance_to(pos);
+            if dist <= range {
+                out.push((index, dist));
+            }
+        }
+    }
+
+    /// Answers a receiver query from the configured backend's index,
+    /// building or refreshing it as needed.
+    fn query_index(
+        &mut self,
+        from_pos: crate::Position,
+        sender: NodeId,
+        out: &mut Vec<(u32, f64)>,
+    ) {
+        let range = self.cfg.radio_range_m;
+        match self.cfg.backend {
+            WorldBackend::Serial => {
+                self.ensure_grid();
+                self.grid.query_into(from_pos, range, sender.index(), out);
+                // The grid was built earlier in this timestamp; drop nodes
+                // despawned since (the active set only shrinks). The query
+                // already yields ascending index order — the order the
+                // brute-force scan produces.
+                out.retain(|&(index, _)| self.nodes[index as usize].active);
+            }
+            WorldBackend::Sharded { shards } => {
+                self.ensure_sharded(shards);
+                let World {
+                    sharded,
+                    nodes,
+                    now,
+                    ..
+                } = self;
+                let view = SlotsView(nodes.as_slice());
+                let index = sharded.as_mut().expect("ensure_sharded installed it");
+                // The sharded index filters `active` per candidate and
+                // evaluates positions live, so no retain pass is needed:
+                // the emitted set already matches the scan.
+                index.refresh(&view, *now);
+                index.query_into(&view, *now, from_pos, sender.index(), out);
+            }
         }
     }
 
@@ -1205,15 +1236,15 @@ impl<P: Clone + Send + 'static, T: Clone + Send + 'static> World<P, T> {
     }
 
     /// Active nodes (other than `id`) within radio range of `id` right now,
-    /// located via the spatial grid, in ascending id order. Public for
-    /// differential tests and benchmarks; the broadcast path uses the same
-    /// machinery internally.
+    /// located via the configured backend's spatial index, in ascending id
+    /// order. Always answered by the index, even where broadcasts scan,
+    /// so differential tests and benchmarks measure the index itself.
     pub fn neighbors_of(&mut self, id: NodeId) -> Vec<NodeId> {
-        let prev = self.cfg.neighbor_index;
-        self.cfg.neighbor_index = NeighborIndex::Grid;
         let mut scratch = std::mem::take(&mut self.recv_scratch);
-        self.collect_broadcast_receivers(id, &mut scratch);
-        self.cfg.neighbor_index = prev;
+        scratch.clear();
+        if let Some(from_pos) = self.position_of(id) {
+            self.query_index(from_pos, id, &mut scratch);
+        }
         let out = scratch.iter().map(|&(i, _)| NodeId::new(i)).collect();
         scratch.clear();
         self.recv_scratch = scratch;
@@ -2124,6 +2155,124 @@ mod tests {
         assert!(w.violations().is_empty());
         assert!(w.invariants_exercised().is_empty());
         assert_eq!(w.violations_overflow(), 0);
+    }
+
+    /// A stationary node that fires one timer at `phase` and broadcasts
+    /// `bursts` times from it, so all its queries share one stamp.
+    struct Broadcaster {
+        at: Position,
+        phase: Duration,
+        bursts: u32,
+    }
+
+    impl Node<u32, u8> for Broadcaster {
+        fn position(&self, _now: Time) -> Position {
+            self.at
+        }
+        fn on_start(&mut self, ctx: &mut Context<'_, u32, u8>) {
+            ctx.set_timer(self.phase, 0);
+        }
+        fn on_packet(&mut self, _: &mut Context<'_, u32, u8>, _: NodeId, _: u32, _: Channel) {}
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32, u8>, _: u8) {
+            for _ in 0..self.bursts {
+                ctx.broadcast(1);
+            }
+        }
+    }
+
+    /// Runs 100 broadcasters, 100 m apart, firing at distinct milliseconds;
+    /// returns the world's grid builds and its end-of-run stamp.
+    fn broadcast_run(neighbor_index: NeighborIndex, bursts: u32) -> (u64, EngineStamp) {
+        let mut w: World<u32, u8> = World::new(WorldConfig {
+            neighbor_index,
+            ..WorldConfig::default()
+        });
+        for i in 0..100u64 {
+            w.spawn(Box::new(Broadcaster {
+                at: Position::new(i as f64 * 100.0, 0.0),
+                phase: Duration::from_millis(i + 1),
+                bursts,
+            }));
+        }
+        w.run_to_completion(1_000_000);
+        assert!(w.stats().get("radio.rx") > 0, "broadcasts must be heard");
+        (w.grid.builds, w.engine_stamp())
+    }
+
+    #[test]
+    fn broadcasts_never_build_a_per_timestamp_index() {
+        // One broadcast per timestamp, and three: the serial backend scans
+        // either way, and ends on the same stamp as `NeighborIndex::Scan`.
+        for bursts in [1, 3] {
+            let (builds, stamp) = broadcast_run(NeighborIndex::Grid, bursts);
+            assert_eq!(builds, 0, "broadcasts scan (bursts={bursts})");
+            assert_eq!(stamp, broadcast_run(NeighborIndex::Scan, bursts).1);
+        }
+    }
+
+    #[test]
+    fn axis_prefilter_is_exact_at_the_range_boundary() {
+        let range = WorldConfig::default().radio_range_m;
+        let past = f64::from_bits(range.to_bits() + 1);
+        let layout = [
+            (0.0, 0.0),
+            (range, 0.0),
+            (past, 0.0),
+            (0.0, -range),
+            (0.0, -past),
+            (-range, 0.0),
+            (-past, 0.0),
+        ];
+        let kept = [1, 3, 5];
+        let sharded = WorldConfig {
+            backend: WorldBackend::Sharded { shards: 2 },
+            ..WorldConfig::default()
+        };
+        let configs = [
+            ("serial", WorldConfig::default()),
+            ("sharded exact", sharded.clone()),
+            (
+                "sharded horizon",
+                WorldConfig {
+                    motion_bound_mps: 0.0,
+                    ..sharded
+                },
+            ),
+        ];
+        for (label, cfg) in configs {
+            let horizon = !exact_mode(cfg.motion_bound_mps);
+            let mut w: World<u32, u8> = World::new(cfg);
+            let ids: Vec<NodeId> = layout
+                .iter()
+                .map(|&(x, y)| {
+                    w.spawn(Box::new(Probe {
+                        at: Position::new(x, y),
+                        ..Probe::new(0.0)
+                    }))
+                })
+                .collect();
+            let mut out = Vec::new();
+            // Broadcasts ask the index only when it has a horizon.
+            w.collect_broadcast_receivers(ids[0], &mut out);
+            let heard: Vec<u32> = out.iter().map(|&(i, _)| i).collect();
+            assert_eq!(heard, kept, "broadcast, {label}");
+            assert_eq!(w.sharded.is_some(), horizon, "{label}");
+            assert_eq!(w.grid.builds, 0, "{label}");
+            // `neighbors_of` always asks the index; a second query at the
+            // same timestamp reuses it.
+            let kept_ids: Vec<NodeId> = kept.iter().map(|&i| NodeId::new(i)).collect();
+            for _ in 0..2 {
+                assert_eq!(w.neighbors_of(ids[0]), kept_ids, "index, {label}");
+            }
+            assert_eq!(w.neighbors_of_scan(ids[0]), kept_ids, "scan, {label}");
+            match w.shard_diagnostics() {
+                None => assert_eq!(w.grid.builds, 1, "{label}"),
+                Some(diag) => {
+                    assert_eq!(w.grid.builds, 0, "{label}");
+                    assert_eq!(diag.full_rebuilds, 1, "{label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@ use blackdp_sim::{
 };
 use proptest::prelude::*;
 
-/// Above the small-world scan threshold (64 slots), so sharded × windowed
-/// runs exercise the band-ownership lane partition on a real index.
+/// Enough beacons to populate several bands, so sharded × windowed runs
+/// exercise the band-ownership lane partition on a real index.
 const NODES: usize = 72;
 
 /// A beacon moving at constant velocity that rebroadcasts on a periodic

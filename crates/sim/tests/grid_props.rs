@@ -1,7 +1,9 @@
 //! Differential property tests: the spatial-grid neighbor index must be
 //! indistinguishable from the brute-force scan — same nodes, same order —
 //! on arbitrary layouts, including nodes exactly at `radio_range_m`
-//! (the boundary is inclusive) and after mid-run despawns.
+//! (the boundary is inclusive) and after mid-run despawns. World sizes
+//! run from a single node to about a hundred, so layouts range from
+//! near-empty buckets to many multi-node cells.
 
 use blackdp_sim::{Channel, Context, Node, NodeId, Position, Time, World, WorldConfig};
 use proptest::prelude::*;
@@ -43,7 +45,7 @@ proptest! {
     fn grid_matches_scan_on_random_layouts(
         positions in prop::collection::vec(
             (-2000.0f64..2000.0, -500.0f64..500.0),
-            1..40,
+            1..110,
         ),
         range_m in 50u32..800,
     ) {
@@ -73,7 +75,7 @@ proptest! {
     fn grid_matches_scan_after_despawns(
         positions in prop::collection::vec(
             (-1000.0f64..1000.0, -300.0f64..300.0),
-            2..30,
+            2..100,
         ),
         despawn_mask in any::<u64>(),
         range_m in 50u32..800,

@@ -51,8 +51,8 @@ impl Node<u32, u8> for Zigzag {
     fn on_timer(&mut self, _ctx: &mut Context<'_, u32, u8>, _token: u8) {}
 }
 
-/// Spawns `n` stationary filler nodes in a strip so the world exceeds the
-/// small-world scan threshold and the sharded index is actually used.
+/// Spawns `n` stationary filler nodes in a strip, so queries cover several
+/// populated cells and bands of the sharded index.
 fn spawn_strip(world: &mut World<u32, u8>, n: usize, spacing: f64) -> Vec<NodeId> {
     (0..n)
         .map(|i| {

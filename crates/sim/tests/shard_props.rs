@@ -5,17 +5,15 @@
 //! count, on arbitrary layouts, moving nodes across staleness horizons,
 //! and after mid-run despawns.
 //!
-//! Worlds here exceed the small-world scan threshold (64 slots), so the
-//! sharded index is genuinely on the query path rather than the scan
-//! override.
+//! Worlds here hold at least `MIN_NODES` slots, so several bands are
+//! populated. `neighbors_of` always answers from the sharded index.
 
 use blackdp_sim::{
     Channel, Context, Duration, Node, NodeId, Position, Time, World, WorldBackend, WorldConfig,
 };
 use proptest::prelude::*;
 
-/// Minimum node count that puts the world above the small-world scan
-/// threshold (64 slots) with room to spare.
+/// Minimum node count: enough to populate several bands.
 const MIN_NODES: usize = 70;
 
 /// A beacon moving at constant velocity that rebroadcasts on a periodic

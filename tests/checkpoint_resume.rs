@@ -108,7 +108,7 @@ fn snapshots_resume_across_backends_in_both_directions() {
     // other — and every checkpoint witness (engine stamp, chained trace
     // checksum) is verified during the replay, so a passing resume *is*
     // the proof that the backends agree bit-for-bit at every boundary.
-    // 70 vehicles put the world past the small-world scan threshold.
+    // 70 vehicles populate several shard bands.
     let mut case = FuzzCase::baseline(11);
     case.vehicles = 70;
     case.sim_secs = 6;

@@ -119,9 +119,9 @@ fn grid_medium_matches_brute_force_scan() {
     }
 }
 
-/// A config big enough (70 vehicles + 10 RSUs + 2 TAs = 82 slots) to put
-/// the world past the small-world scan threshold, so the sharded backend
-/// is genuinely answering broadcast queries rather than the scan override.
+/// A config big enough (70 vehicles + 10 RSUs + 2 TAs = 82 slots) to
+/// populate several shard bands, so the sharded backend answers broadcast
+/// queries across real band boundaries.
 fn sharded_exercising_config() -> ScenarioConfig {
     let mut cfg = ScenarioConfig::small_test();
     cfg.vehicles = 70;
