@@ -14,6 +14,11 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 # crates/criterion) are workspace members and held to the same bar.
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --workspace --no-deps"
+# Broken intra-doc links and public docs that link private items fail
+# the build, like clippy warnings.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo test --workspace"
 cargo test --workspace --quiet
 

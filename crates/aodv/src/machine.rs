@@ -8,7 +8,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use blackdp_sim::Time;
+use blackdp_sim::{Duration, Time};
 
 use crate::config::AodvConfig;
 use crate::msg::{Addr, DataPacket, Hello, Message, Rerr, Rrep, Rreq, SeqNo};
@@ -102,6 +102,62 @@ struct PendingDiscovery {
     ttl: u8,
 }
 
+/// The first instant at which something last seen at `t` is more than
+/// `horizon` old: the least `now` with `now.saturating_since(t) > horizon`.
+fn aged_out(t: Time, horizon: Duration) -> Time {
+    t + horizon + Duration::from_micros(1)
+}
+
+/// An id → last-seen cache whose entries age out `horizon` after they
+/// were seen, with a watermark gate on the sweep.
+#[derive(Debug)]
+struct SeenCache {
+    seen: HashMap<(Addr, u64), Time>,
+    horizon: Duration,
+    /// No entry can age out before this instant. Every insert lowers it
+    /// with `min`; each sweep that runs makes it exact. `Time::MAX` while
+    /// the cache is empty.
+    due: Time,
+}
+
+impl SeenCache {
+    fn new(horizon: Duration) -> Self {
+        SeenCache {
+            seen: HashMap::new(),
+            horizon,
+            due: Time::MAX,
+        }
+    }
+
+    fn contains(&self, key: (Addr, u64)) -> bool {
+        self.seen.contains_key(&key)
+    }
+
+    fn insert(&mut self, key: (Addr, u64), now: Time) {
+        self.seen.insert(key, now);
+        self.due = self.due.min(aged_out(now, self.horizon));
+    }
+
+    /// Drops entries seen more than `horizon` before `now`. Before the
+    /// watermark that would drop nothing, so it returns at once (which
+    /// also spares `HashMap::retain` its walk of an empty bucket array).
+    fn prune(&mut self, now: Time) {
+        if self.due > now {
+            return;
+        }
+        let horizon = self.horizon;
+        let mut due = Time::MAX;
+        self.seen.retain(|_, &mut t| {
+            let keep = now.saturating_since(t) <= horizon;
+            if keep {
+                due = due.min(aged_out(t, horizon));
+            }
+            keep
+        });
+        self.due = due;
+    }
+}
+
 /// The AODV protocol instance for one node.
 ///
 /// # Examples
@@ -135,10 +191,14 @@ pub struct Aodv {
     next_rreq_id: u64,
     next_data_seq: u64,
     routes: RoutingTable,
-    rreq_seen: HashMap<(Addr, u64), Time>,
-    data_seen: HashMap<(Addr, u64), Time>,
+    rreq_seen: SeenCache,
+    data_seen: SeenCache,
     pending: BTreeMap<Addr, PendingDiscovery>,
     neighbors: BTreeMap<Addr, Time>,
+    /// No neighbor can time out before this instant. Every `hear` lowers
+    /// it with `min`; each sweep that runs makes it exact. `Time::MAX`
+    /// with no neighbors.
+    neighbor_due: Time,
     last_hello: Option<Time>,
 }
 
@@ -147,16 +207,17 @@ impl Aodv {
     pub fn new(addr: Addr, cfg: AodvConfig) -> Self {
         Aodv {
             addr,
-            cfg,
             seq: 0,
             next_rreq_id: 0,
             next_data_seq: 0,
             routes: RoutingTable::new(),
-            rreq_seen: HashMap::new(),
-            data_seen: HashMap::new(),
+            rreq_seen: SeenCache::new(cfg.path_discovery_time()),
+            data_seen: SeenCache::new(cfg.active_route_timeout),
             pending: BTreeMap::new(),
             neighbors: BTreeMap::new(),
+            neighbor_due: Time::MAX,
             last_hello: None,
+            cfg,
         }
     }
 
@@ -271,8 +332,9 @@ impl Aodv {
         buffered: VecDeque<DataPacket>,
         now: Time,
     ) -> Vec<Action> {
-        // RFC 3561 §6.3: increment own sequence number before an RREQ.
-        self.seq += 1;
+        // RFC 3561 §6.3: increment own sequence number before an RREQ
+        // (it wraps, §6.1).
+        self.seq = self.seq.wrapping_add(1);
         let rreq_id = self.next_rreq_id;
         self.next_rreq_id += 1;
         self.rreq_seen.insert((self.addr, rreq_id), now);
@@ -314,13 +376,27 @@ impl Aodv {
 
     /// Processes a received AODV message from neighbor `from`.
     pub fn handle_message(&mut self, from: Addr, msg: Message, now: Time) -> Vec<Action> {
-        // Any reception proves `from` is a live neighbor.
-        self.note_neighbor(from, now);
+        // Any reception proves `from` is a live neighbor, and a direct
+        // transmission is also a 1-hop route with unknown seq.
+        self.hear(from, now);
+        let link_expires = now + self.cfg.active_route_timeout;
+        if let Message::Hello(hello) = msg {
+            if hello.orig == from {
+                // The Hello also carries the neighbor's sequence number;
+                // both updates go to the one entry in a single lookup.
+                let hello_expires = now + self.cfg.neighbor_lifetime() + self.cfg.hello_interval;
+                self.routes
+                    .update_hello(from, hello.seq, link_expires, hello_expires, now);
+                return Vec::new();
+            }
+        }
+        self.routes.update(from, None, from, 1, link_expires, now);
         match msg {
             Message::Rreq(rreq) => self.handle_rreq(from, rreq, now),
             Message::Rrep(rrep) => self.handle_rrep(from, rrep, now),
             Message::Rerr(rerr) => self.handle_rerr(from, rerr, now),
-            Message::Hello(hello) => self.handle_hello(from, hello, now),
+            // A Hello relayed on another node's behalf adds nothing.
+            Message::Hello(_) => Vec::new(),
             Message::Data(data) => self.handle_data(from, data, now),
         }
     }
@@ -345,44 +421,13 @@ impl Aodv {
             });
         }
 
-        // Neighbor timeouts → link breaks → RERRs.
-        let lifetime = self.cfg.neighbor_lifetime();
-        let gone: Vec<Addr> = self
-            .neighbors
-            .iter()
-            .filter(|(_, &last)| now.saturating_since(last) > lifetime)
-            .map(|(&a, _)| a)
-            .collect();
-        for neighbor in gone {
-            self.neighbors.remove(&neighbor);
-            actions.push(Action::Event(Event::LinkBroken { neighbor }));
-            let broken = self.routes.invalidate_via(neighbor);
-            let unreachable: Vec<(Addr, SeqNo)> = broken
-                .iter()
-                .filter(|(_, _, pre)| !pre.is_empty())
-                .map(|(d, s, _)| (*d, *s))
-                .collect();
-            if !unreachable.is_empty() {
-                actions.push(Action::Broadcast {
-                    msg: Message::Rerr(Rerr { unreachable }),
-                });
-            }
-        }
-
-        // Route expiry and RREQ-id cache cleanup. The emptiness guards
-        // matter: `HashMap::retain` walks the whole bucket array even when
-        // `len` is zero, and these run on every maintenance tick.
+        // Neighbor timeouts, route expiry and RREQ-id / data-id cache
+        // cleanup. Each sweep is gated by its watermark and skipped while
+        // it would change nothing, which on most ticks is all of them.
+        self.expire_neighbors(now, &mut actions);
         self.routes.expire_stale(now);
-        if !self.rreq_seen.is_empty() {
-            let horizon = self.cfg.path_discovery_time();
-            self.rreq_seen
-                .retain(|_, &mut t| now.saturating_since(t) <= horizon);
-        }
-        if !self.data_seen.is_empty() {
-            let data_horizon = self.cfg.active_route_timeout;
-            self.data_seen
-                .retain(|_, &mut t| now.saturating_since(t) <= data_horizon);
-        }
+        self.rreq_seen.prune(now);
+        self.data_seen.prune(now);
 
         // Discovery retries / failures.
         let expired: Vec<Addr> = self
@@ -430,7 +475,7 @@ impl Aodv {
                 p.deadline = now + backoff;
             }
             let ttl = p.ttl;
-            self.seq += 1;
+            self.seq = self.seq.wrapping_add(1);
             let rreq_id = self.next_rreq_id;
             self.next_rreq_id += 1;
             self.rreq_seen.insert((self.addr, rreq_id), now);
@@ -452,24 +497,52 @@ impl Aodv {
         actions
     }
 
-    fn note_neighbor(&mut self, from: Addr, now: Time) {
+    /// Neighbor timeouts → link breaks → RERRs.
+    fn expire_neighbors(&mut self, now: Time, actions: &mut Vec<Action>) {
+        if self.neighbor_due > now {
+            return;
+        }
+        let lifetime = self.cfg.neighbor_lifetime();
+        let mut gone = Vec::new();
+        let mut due = Time::MAX;
+        for (&neighbor, &last) in &self.neighbors {
+            if now.saturating_since(last) > lifetime {
+                gone.push(neighbor);
+            } else {
+                due = due.min(aged_out(last, lifetime));
+            }
+        }
+        self.neighbor_due = due;
+        for neighbor in gone {
+            self.neighbors.remove(&neighbor);
+            actions.push(Action::Event(Event::LinkBroken { neighbor }));
+            let broken = self.routes.invalidate_via(neighbor);
+            let unreachable: Vec<(Addr, SeqNo)> = broken
+                .iter()
+                .filter(|(_, _, pre)| !pre.is_empty())
+                .map(|(d, s, _)| (*d, *s))
+                .collect();
+            if !unreachable.is_empty() {
+                actions.push(Action::Broadcast {
+                    msg: Message::Rerr(Rerr { unreachable }),
+                });
+            }
+        }
+    }
+
+    /// Records a reception from `from` at `now`.
+    fn hear(&mut self, from: Addr, now: Time) {
         self.neighbors.insert(from, now);
-        // A direct transmission is also a 1-hop route with unknown seq.
-        self.routes.update(
-            from,
-            None,
-            from,
-            1,
-            now + self.cfg.active_route_timeout,
-            now,
-        );
+        self.neighbor_due = self
+            .neighbor_due
+            .min(aged_out(now, self.cfg.neighbor_lifetime()));
     }
 
     fn handle_rreq(&mut self, from: Addr, rreq: Rreq, now: Time) -> Vec<Action> {
         if rreq.orig == self.addr {
             return Vec::new(); // our own flood echoed back
         }
-        if self.rreq_seen.contains_key(&(rreq.orig, rreq.rreq_id)) {
+        if self.rreq_seen.contains((rreq.orig, rreq.rreq_id)) {
             return Vec::new();
         }
         self.rreq_seen.insert((rreq.orig, rreq.rreq_id), now);
@@ -631,22 +704,6 @@ impl Aodv {
         }
     }
 
-    fn handle_hello(&mut self, from: Addr, hello: Hello, now: Time) -> Vec<Action> {
-        // `note_neighbor` already refreshed the 1-hop route; a hello also
-        // carries the neighbor's sequence number.
-        if hello.orig == from {
-            self.routes.update(
-                from,
-                Some(hello.seq),
-                from,
-                1,
-                now + self.cfg.neighbor_lifetime() + self.cfg.hello_interval,
-                now,
-            );
-        }
-        Vec::new()
-    }
-
     fn handle_data(&mut self, from: Addr, data: DataPacket, now: Time) -> Vec<Action> {
         if data.dest == self.addr {
             // Keep the reverse path fresh for replies.
@@ -659,7 +716,7 @@ impl Aodv {
         // or a broadcast echo (a misbehaving node rebroadcasting data);
         // re-forwarding would let N neighbors amplify every copy into an
         // exponential storm only capped by TTL.
-        if self.data_seen.contains_key(&(data.orig, data.seq_no)) {
+        if self.data_seen.contains((data.orig, data.seq_no)) {
             return vec![Action::Event(Event::DataDropped {
                 packet: data,
                 reason: DropReason::Duplicate,
@@ -715,6 +772,9 @@ impl Aodv {
         self.routes.refresh(next_hop, until, now);
     }
 }
+
+#[cfg(test)]
+mod sweep_oracle;
 
 #[cfg(test)]
 mod tests {

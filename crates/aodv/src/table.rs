@@ -1,5 +1,6 @@
 //! The AODV routing table (RFC 3561 §2, §6.2).
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 
 use blackdp_sim::Time;
@@ -85,6 +86,64 @@ fn candidate_wins(current: &RouteEntry, cand_seq: Option<SeqNo>, cand_hops: u8, 
 #[derive(Debug, Clone, Default)]
 pub struct RoutingTable {
     entries: BTreeMap<Addr, RouteEntry>,
+    /// Watermark for [`RoutingTable::expire_stale`]: a lower bound on the
+    /// `expires` of every `Valid` entry, so a sweep before it has nothing
+    /// to expire. Only `update` and `update_hello` can lower an entry's
+    /// `expires` or revalidate it, and both lower this with `min`; each
+    /// sweep that runs makes it exact again. Starts at `Time::ZERO`, so
+    /// the first sweep always runs.
+    next_expiry: Time,
+}
+
+/// A fresh `Valid` entry with no precursors.
+fn new_entry(
+    dest: Addr,
+    dest_seq: Option<SeqNo>,
+    next_hop: Addr,
+    hop_count: u8,
+    expires: Time,
+) -> RouteEntry {
+    RouteEntry {
+        dest,
+        dest_seq,
+        next_hop,
+        hop_count,
+        expires,
+        state: RouteState::Valid,
+        precursors: BTreeSet::new(),
+    }
+}
+
+/// Applies the RFC 3561 update rule for a candidate route to an existing
+/// entry. Returns true if the candidate replaced the route.
+fn merge(
+    entry: &mut RouteEntry,
+    dest_seq: Option<SeqNo>,
+    next_hop: Addr,
+    hop_count: u8,
+    expires: Time,
+    now: Time,
+) -> bool {
+    if candidate_wins(entry, dest_seq, hop_count, now) {
+        // Keep the best-known sequence number even when the candidate
+        // doesn't know one (rollover-aware).
+        entry.dest_seq = match (entry.dest_seq, dest_seq) {
+            (Some(cur), Some(new)) => Some(if seq_newer(new, cur) { new } else { cur }),
+            (cur, new) => new.or(cur),
+        };
+        entry.next_hop = next_hop;
+        entry.hop_count = hop_count;
+        entry.expires = expires;
+        entry.state = RouteState::Valid;
+        true
+    } else {
+        // Refresh the lifetime of an equally good route through the same
+        // neighbor.
+        if entry.next_hop == next_hop && entry.is_usable(now) && expires > entry.expires {
+            entry.expires = expires;
+        }
+        false
+    }
 }
 
 impl RoutingTable {
@@ -114,46 +173,48 @@ impl RoutingTable {
         expires: Time,
         now: Time,
     ) -> bool {
-        match self.entries.get_mut(&dest) {
-            None => {
-                self.entries.insert(
-                    dest,
-                    RouteEntry {
-                        dest,
-                        dest_seq,
-                        next_hop,
-                        hop_count,
-                        expires,
-                        state: RouteState::Valid,
-                        precursors: BTreeSet::new(),
-                    },
-                );
-                true
+        let (entry, changed) = match self.entries.entry(dest) {
+            Entry::Vacant(slot) => (
+                slot.insert(new_entry(dest, dest_seq, next_hop, hop_count, expires)),
+                true,
+            ),
+            Entry::Occupied(slot) => {
+                let entry = slot.into_mut();
+                let changed = merge(entry, dest_seq, next_hop, hop_count, expires, now);
+                (entry, changed)
             }
-            Some(entry) => {
-                if candidate_wins(entry, dest_seq, hop_count, now) {
-                    // Keep the best-known sequence number even when the
-                    // candidate doesn't know one (rollover-aware).
-                    entry.dest_seq = match (entry.dest_seq, dest_seq) {
-                        (Some(cur), Some(new)) => Some(if seq_newer(new, cur) { new } else { cur }),
-                        (cur, new) => new.or(cur),
-                    };
-                    entry.next_hop = next_hop;
-                    entry.hop_count = hop_count;
-                    entry.expires = expires;
-                    entry.state = RouteState::Valid;
-                    true
-                } else {
-                    // Refresh the lifetime of an equally good route through
-                    // the same neighbor.
-                    if entry.next_hop == next_hop && entry.is_usable(now) && expires > entry.expires
-                    {
-                        entry.expires = expires;
-                    }
-                    false
-                }
+        };
+        // Every update leaves `dest` Valid: a losing candidate implies a
+        // usable entry.
+        self.next_expiry = self.next_expiry.min(entry.expires);
+        changed
+    }
+
+    /// A Hello heard directly from `neighbor`: exactly
+    /// `update(neighbor, None, neighbor, 1, link_expires, now)` followed by
+    /// `update(neighbor, Some(hello_seq), neighbor, 1, hello_expires, now)`
+    /// (the link's 1-hop route, then the Hello's sequence number), with one
+    /// map lookup instead of two.
+    pub fn update_hello(
+        &mut self,
+        neighbor: Addr,
+        hello_seq: SeqNo,
+        link_expires: Time,
+        hello_expires: Time,
+        now: Time,
+    ) {
+        let entry = match self.entries.entry(neighbor) {
+            Entry::Vacant(slot) => {
+                slot.insert(new_entry(neighbor, None, neighbor, 1, link_expires))
             }
-        }
+            Entry::Occupied(slot) => {
+                let entry = slot.into_mut();
+                merge(entry, None, neighbor, 1, link_expires, now);
+                entry
+            }
+        };
+        merge(entry, Some(hello_seq), neighbor, 1, hello_expires, now);
+        self.next_expiry = self.next_expiry.min(entry.expires);
     }
 
     /// Extends the lifetime of a usable entry (data-plane refresh,
@@ -213,14 +274,25 @@ impl RoutingTable {
     }
 
     /// Marks expired valid entries invalid; returns how many were expired.
+    /// Before the earliest `expires` of any valid entry this is a no-op
+    /// and returns without walking the table.
     pub fn expire_stale(&mut self, now: Time) -> usize {
+        if self.next_expiry > now {
+            return 0;
+        }
         let mut n = 0;
+        let mut next_expiry = Time::MAX;
         for e in self.entries.values_mut() {
-            if e.state == RouteState::Valid && e.expires <= now {
-                e.state = RouteState::Invalid;
-                n += 1;
+            if e.state == RouteState::Valid {
+                if e.expires <= now {
+                    e.state = RouteState::Invalid;
+                    n += 1;
+                } else {
+                    next_expiry = next_expiry.min(e.expires);
+                }
             }
         }
+        self.next_expiry = next_expiry;
         n
     }
 

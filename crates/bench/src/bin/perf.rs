@@ -546,11 +546,7 @@ fn measure_event_loop_allocs(m: &mut Metrics) {
 /// [`SPEEDUP_FLOORS`] instead; everything listed here is a per-operation
 /// figure that, after machine-speed normalization, is stable run-to-run.
 fn gated(name: &str) -> bool {
-    // `neighbor_grid_ns_60` is excluded: its recorded baseline was taken
-    // while worlds of at most 64 slots answered `neighbors_of` by scan,
-    // so it does not measure the grid this leg now times. Gate it again
-    // once a baseline recorded on the grid is checked in.
-    (name.starts_with("neighbor_grid_ns_") && name != "neighbor_grid_ns_60")
+    name.starts_with("neighbor_grid_ns_")
         || matches!(
             name,
             "sha256_mb_s"

@@ -19,7 +19,7 @@
 //!    actually happened and the stamp still matches serial.
 //! 3. **Boundary audit** — a real 90-vehicle scenario on the sharded
 //!    backend with [`attach_boundary_audit`] tapping cross-band sealed
-//!    envelopes into a [`BoundaryAuditor`] batch; gates that flushes
+//!    envelopes into a [`BoundaryAuditor`](blackdp::BoundaryAuditor) batch; gates that flushes
 //!    reached the batch verifier's lane threshold and nothing failed.
 //!
 //! All gates are absolute floors (like the perf bin's `SPEEDUP_FLOORS`):

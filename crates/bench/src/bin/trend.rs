@@ -9,7 +9,8 @@
 //! folds them into one report:
 //!
 //! * a headline table — one row per PR, its signature throughput metric,
-//!   baseline → latest with the drift ratio;
+//!   baseline → latest with the drift ratio (left out where the two ran
+//!   different workloads, see [`comparable`]);
 //! * the full table — every metric of every file, so regressions hiding
 //!   behind a healthy headline still surface.
 //!
@@ -122,6 +123,45 @@ fn headline(file: &BenchFile) -> Option<String> {
         .map(str::to_owned)
 }
 
+/// The number of end-to-end trials a `blackdp-perf/v1` block timed:
+/// `perf` reports `e2e_trials_per_s = trials / e2e_parallel_ms`, and runs
+/// 4 `small_test` trials in smoke mode and 10 `paper_table1` trials in
+/// full mode, so the count names the e2e workload. `None` when the block
+/// lacks either figure (`BENCH_pr7.json`'s baseline records only the
+/// rate).
+fn e2e_trials(metrics: &[(String, f64)]) -> Option<u64> {
+    let rate = resolve(metrics, "e2e_trials_per_s")?;
+    let ms = resolve(metrics, "e2e_parallel_ms")?;
+    Some((rate * ms / 1000.0).round() as u64)
+}
+
+/// Whether `metric`'s baseline and latest readings measure the same
+/// workload, so their ratio means something. A perf file's `e2e_*`
+/// figures compare only when both blocks timed the same trial count:
+/// `BENCH_pr2.json`'s baseline is a 10-trial `paper_table1` sweep, while
+/// `perf smoke` writes a 4-trial `small_test` one.
+fn comparable(file: &BenchFile, metric: &str) -> bool {
+    if file.schema != "blackdp-perf/v1" || !metric.starts_with("e2e_") {
+        return true;
+    }
+    match (e2e_trials(&file.baseline), e2e_trials(&file.latest)) {
+        (Some(base), Some(latest)) => base == latest,
+        _ => false,
+    }
+}
+
+/// The `latest / baseline` ratio of `metric`, when both exist and are
+/// [`comparable`].
+fn drift(file: &BenchFile, metric: &str) -> Option<f64> {
+    let base = resolve(&file.baseline, metric)?;
+    let latest = resolve(&file.latest, metric)?;
+    (base != 0.0 && comparable(file, metric)).then(|| latest / base)
+}
+
+fn fmt_drift(drift: Option<f64>) -> String {
+    drift.map_or("-".into(), |d| format!("{d:.2}x"))
+}
+
 /// Looks `name` up in a metric list; the scale headline pseudo-metric
 /// resolves to the maximum over the sharded event rates.
 fn resolve(metrics: &[(String, f64)], name: &str) -> Option<f64> {
@@ -167,16 +207,16 @@ fn main() {
         "  {:<5} {:>18} {:>6}  {:<38} {:>12} {:>12} {:>8}",
         "PR", "schema", "mode", "metric", "baseline", "latest", "drift"
     );
+    let mut mismatched = Vec::new();
     for file in &files {
         let Some(metric) = headline(file) else {
             continue;
         };
         let base = resolve(&file.baseline, &metric);
         let latest = resolve(&file.latest, &metric);
-        let drift = match (base, latest) {
-            (Some(b), Some(l)) if b != 0.0 => format!("{:.2}x", l / b),
-            _ => "-".into(),
-        };
+        if base.is_some() && latest.is_some() && !comparable(file, &metric) {
+            mismatched.push(format!("pr{}", file.pr));
+        }
         println!(
             "  {:<5} {:>18} {:>6}  {:<38} {:>12} {:>12} {:>8}",
             format!("pr{}", file.pr),
@@ -185,7 +225,13 @@ fn main() {
             metric,
             base.map_or("-".into(), fmt_value),
             latest.map_or("-".into(), fmt_value),
-            drift
+            fmt_drift(drift(file, &metric))
+        );
+    }
+    if !mismatched.is_empty() {
+        println!(
+            "  ({}: baseline and latest e2e runs timed different workloads; no drift shown)",
+            mismatched.join(", ")
         );
     }
 
@@ -200,19 +246,86 @@ fn main() {
         );
         for (name, latest) in &file.latest {
             let base = resolve(&file.baseline, name);
-            let drift = match base {
-                Some(b) if b != 0.0 => format!("{:.2}x", latest / b),
-                _ => "-".into(),
-            };
             let _ = writeln!(
                 out,
                 "    {:<40} {:>12} {:>12} {:>8}",
                 name,
                 base.map_or("-".into(), fmt_value),
                 fmt_value(*latest),
-                drift
+                fmt_drift(drift(file, name))
             );
         }
     }
     print!("{out}");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed() -> Vec<BenchFile> {
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+        discover(&dir)
+            .into_iter()
+            .filter_map(|(pr, path)| parse_bench(&path, pr))
+            .collect()
+    }
+
+    fn perf_file(baseline: &[(&str, f64)], latest: &[(&str, f64)]) -> BenchFile {
+        let owned = |m: &[(&str, f64)]| m.iter().map(|&(n, v)| (n.to_owned(), v)).collect();
+        BenchFile {
+            pr: 0,
+            schema: "blackdp-perf/v1".into(),
+            mode: "smoke".into(),
+            baseline: owned(baseline),
+            latest: owned(latest),
+        }
+    }
+
+    /// The committed perf files keep an e2e baseline taken on another
+    /// workload; their headline must show no ratio against it.
+    #[test]
+    fn perf_headline_shows_no_cross_workload_drift() {
+        let files = committed();
+        let perf: Vec<&BenchFile> = files
+            .iter()
+            .filter(|f| f.schema == "blackdp-perf/v1")
+            .collect();
+        assert!(
+            perf.len() >= 2,
+            "results/ holds BENCH_pr2.json and BENCH_pr7.json"
+        );
+        for file in perf {
+            let metric = headline(file).expect("perf files have a headline");
+            assert_eq!(metric, "e2e_trials_per_s");
+            let same = matches!(
+                (e2e_trials(&file.baseline), e2e_trials(&file.latest)),
+                (Some(b), Some(l)) if b == l
+            );
+            assert_eq!(drift(file, &metric).is_some(), same, "pr{}", file.pr);
+            if file.mode == "smoke" {
+                // A smoke run times 4 trials; neither committed baseline
+                // is a 4-trial run.
+                assert_eq!(drift(file, &metric), None, "pr{}", file.pr);
+            }
+        }
+    }
+
+    #[test]
+    fn same_workload_perf_runs_show_drift() {
+        let file = perf_file(
+            &[("e2e_parallel_ms", 40.0), ("e2e_trials_per_s", 100.0)],
+            &[("e2e_parallel_ms", 20.0), ("e2e_trials_per_s", 200.0)],
+        );
+        assert_eq!(e2e_trials(&file.latest), Some(4));
+        assert_eq!(drift(&file, "e2e_trials_per_s"), Some(2.0));
+        let other = perf_file(
+            &[("e2e_parallel_ms", 100.0), ("e2e_trials_per_s", 100.0)],
+            &[("e2e_parallel_ms", 20.0), ("e2e_trials_per_s", 200.0)],
+        );
+        assert_eq!(drift(&other, "e2e_trials_per_s"), None);
+        // Per-operation figures compare across e2e workloads.
+        let micro = perf_file(&[("sign_ns", 300.0)], &[("sign_ns", 150.0)]);
+        assert_eq!(drift(&micro, "sign_ns"), Some(0.5));
+    }
 }

@@ -54,7 +54,7 @@ pub struct Bencher {
 
 impl Bencher {
     /// Times `routine`: calibrates a batch size whose wall-clock exceeds
-    /// timer granularity, then reports the fastest of [`SAMPLES`] batches
+    /// timer granularity, then reports the fastest of `SAMPLES` batches
     /// (the minimum is the standard noise-rejecting summary for
     /// micro-timings — interference only ever adds time).
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut routine: F) {
@@ -154,7 +154,7 @@ pub struct BenchmarkGroup<'a> {
 
 impl BenchmarkGroup<'_> {
     /// Accepts real criterion's sample-count hint; the stub's fixed
-    /// [`SAMPLES`] loop ignores it.
+    /// `SAMPLES` loop ignores it.
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
         self
     }

@@ -162,7 +162,7 @@ pub(crate) fn check_signature(digest: u128, check: impl FnOnce() -> bool) -> boo
 
 /// Looks up a previously memoized signature check without computing it on
 /// a miss. A hit refreshes the entry's LRU stamp, exactly like
-/// [`check_signature`]. Deferred (batched) verification uses this to
+/// `check_signature`. Deferred (batched) verification uses this to
 /// decide which certificate signatures still need real work.
 pub fn lookup_signature(digest: u128) -> Option<bool> {
     CACHE.with(|cache| {
@@ -182,7 +182,7 @@ pub fn lookup_signature(digest: u128) -> Option<bool> {
 }
 
 /// Memoizes an externally computed signature check (the batch verifier's
-/// flush), with the same LRU eviction as [`check_signature`].
+/// flush), with the same LRU eviction as `check_signature`.
 pub fn store_signature(digest: u128, valid: bool) {
     CACHE.with(|cache| {
         let mut cache = cache.borrow_mut();

@@ -147,7 +147,7 @@ pub struct FixedBaseTable {
 
 impl FixedBaseTable {
     /// Builds the window table for `base`. Entries are stored in
-    /// Montgomery form so the window products run on [`mont_mul`]; only
+    /// Montgomery form so the window products run on `mont_mul`; only
     /// the final accumulator is converted back.
     pub fn new(base: u64) -> Self {
         let mut table = [[MONT_ONE; 16]; WINDOWS];
@@ -186,7 +186,7 @@ impl FixedBaseTable {
     /// Shared-base batch exponentiation: `out[i] = base^exps[i] mod P`.
     ///
     /// Amortizes the table across the whole batch — each exponent costs
-    /// at most [`WINDOWS`] table multiplies (no squarings at all), and
+    /// at most `WINDOWS` table multiplies (no squarings at all), and
     /// four lookup chains run interleaved for instruction-level
     /// parallelism. Exponents must be below `2³²` (callers pre-screen);
     /// larger ones fall back to the generic ladder. `out` is cleared and
@@ -256,7 +256,7 @@ pub const EXP_LANES: usize = 4;
 /// serially dependent reduction chains of the lanes overlap instead of
 /// stalling one after another. The whole ladder runs in the Montgomery
 /// domain — conversion happens once per base at the table build and once
-/// per result at the end — so every step is a [`mont_mul`] instead of a
+/// per result at the end — so every step is a `mont_mul` instead of a
 /// 128-bit division. Bit-identical to `pow_mod(base, exp, P)` for every
 /// input; exponents at or above `2³²` (never produced by the signing
 /// code) and the sub-lane remainder fall back to the generic ladder.

@@ -181,7 +181,7 @@ const LANE_THRESHOLD: usize = 4;
 /// FNV stream; acceptable at this crate's simulation-grade parameters,
 /// and documented in DESIGN §11).
 ///
-/// Batches below [`LANE_THRESHOLD`] items run the scalar
+/// Batches below `LANE_THRESHOLD` items run the scalar
 /// [`PublicKey::verify`] per item, making small flushes exactly the
 /// inline code they replace. All scratch buffers are retained across
 /// [`VerifyBatch::verify_all`] calls, so steady-state reuse is

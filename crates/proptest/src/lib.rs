@@ -230,7 +230,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Output of [`vec`].
+    /// Output of [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

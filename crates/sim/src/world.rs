@@ -71,7 +71,7 @@ pub enum NeighborIndex {
 /// the backend's index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WorldBackend {
-    /// The serial [`SpatialGrid`], rebuilt per `(timestamp, slots)` stamp
+    /// The serial `SpatialGrid`, rebuilt per `(timestamp, slots)` stamp
     /// for [`World::neighbors_of`]; broadcasts scan. The default, and the
     /// differential oracle for the sharded backend.
     #[default]
