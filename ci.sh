@@ -58,12 +58,12 @@ if [ ! -f results/BENCH_pr8.json ]; then
     exit 1
 fi
 
-echo "==> windowed executor gate (exec smoke)"
-# PR-10: the conservative-window parallel executor at N = 100,000 must be
-# bit-identical to the serial executor (EngineStamp + Stats digest),
-# beat the PR-8 serial-dispatch baseline by ≥ 2x on event-execution
-# throughput via window-boundary batch verification, and push mean
-# VerifyQueue flush width strictly past the PR-7 in-sim ceiling of 2.
+echo "==> envelope-memo gate (exec smoke)"
+# At N = 100,000 on platoon-relay beacons, verifying through the
+# process-global envelope memo must finish on the exact EngineStamp and
+# Stats digest of scalar inline verification in every round, beat it by
+# >= 2x on event-execution throughput (median of paired rounds), and
+# see zero verification failures on honest traffic.
 cargo run --release -p blackdp-bench --bin exec -- smoke
 if [ ! -f results/BENCH_pr10.json ]; then
     echo "ci.sh: results/BENCH_pr10.json missing after exec run" >&2
@@ -77,26 +77,11 @@ cargo run --release -p blackdp-bench --bin trend
 echo "==> fuzz / trace-oracle gate (fuzz smoke)"
 cargo run --release -p blackdp-bench --bin fuzz -- smoke
 
-echo "==> windowed-executor determinism gate (fuzz smoke, windowed x 8 threads)"
-# Reruns the golden-trace replay and corpus under the parallel executor
-# forced on: replays compare byte-for-byte against goldens recorded with
-# the serial executor, so any thread-count-induced divergence fails here.
-# (On hosts with fewer cores the lane count clamps down with a warning;
-# the windowed stage/commit path is exercised either way.)
-BLACKDP_EXECUTOR=windowed BLACKDP_THREADS=8 \
-    cargo run --release -p blackdp-bench --bin fuzz -- smoke
-
 echo "==> crash-resume gate (sweepd smoke)"
 # SIGKILLs every worker once mid-batch, then the orchestrator itself
 # mid-campaign, and requires the resumed merged output to be
 # byte-identical to the uninterrupted serial oracle.
 cargo run --release -p blackdp-bench --bin sweepd -- smoke
-
-echo "==> windowed-executor crash-resume gate (sweepd smoke, windowed x 8 threads)"
-# One checkpoint/kill/resume round under the parallel executor: the
-# resumed merged output must stay byte-identical to the serial oracle.
-BLACKDP_EXECUTOR=windowed BLACKDP_THREADS=8 \
-    cargo run --release -p blackdp-bench --bin sweepd -- smoke
 
 echo "==> live testbed gate (testbed smoke)"
 # Eight real `blackdpd` processes on loopback UDP — TA, RSU, five honest

@@ -1,10 +1,9 @@
 //! `trend` — the bench history in one table.
 //!
-//! Every optimization PR leaves a `results/BENCH_pr<N>.json` behind
-//! (PR 2 micro/e2e, PR 7 raw-speed, PR 8 sharded scale, PR 10 windowed
-//! executor), each with its own schema and its own `baseline`/`latest`
-//! pair — the baseline block being the numbers frozen when that PR
-//! landed (for the earliest file, the seed). Reading the trajectory
+//! Every optimization track leaves a `results/BENCH_pr<N>.json` behind
+//! (micro/e2e, raw-speed, sharded scale, envelope memo), each with its
+//! own schema and its own `baseline`/`latest` pair — the baseline block
+//! being the numbers frozen when that PR landed (for the earliest file, the seed). Reading the trajectory
 //! therefore means opening four files and knowing four layouts. This bin
 //! folds them into one report:
 //!
@@ -98,10 +97,17 @@ fn discover(dir: &Path) -> Vec<(u32, PathBuf)> {
     found
 }
 
+/// The exec track's Leg-B event rate, under its current name and under
+/// the name it carried while Leg B ran the windowed executor.
+const EXEC_LEG_B: [&str; 2] = [
+    "exec_events_per_s_memo_serial",
+    "exec_events_per_s_memo_windowed",
+];
+
 /// The one metric that summarizes a file, per schema: end-to-end trial
 /// rate for the perf tracks, best sharded event rate for the scale
-/// track, windowed-executor event rate for the exec track. Falls back to
-/// the first metric so unknown future schemas still produce a row.
+/// track, Leg-B (memo) event rate for the exec track. Falls back to the
+/// first metric so unknown future schemas still produce a row.
 fn headline(file: &BenchFile) -> Option<String> {
     let latest_names: Vec<&str> = file.latest.iter().map(|(n, _)| n.as_str()).collect();
     let pick = match file.schema.as_str() {
@@ -116,7 +122,7 @@ fn headline(file: &BenchFile) -> Option<String> {
                 .any(|n| n.starts_with("scale_events_per_s_shards"))
                 .then(|| "scale_events_per_s_shards* (best)".to_owned());
         }
-        "blackdp-exec/v1" => Some("exec_events_per_s_memo_windowed"),
+        "blackdp-exec/v1" => EXEC_LEG_B.into_iter().find(|n| latest_names.contains(n)),
         _ => None,
     };
     pick.or_else(|| latest_names.first().copied())
@@ -135,18 +141,36 @@ fn e2e_trials(metrics: &[(String, f64)]) -> Option<u64> {
     Some((rate * ms / 1000.0).round() as u64)
 }
 
+/// Which executor an exec block's Leg B ran: the name of the Leg-B rate
+/// it records.
+fn exec_leg_b(metrics: &[(String, f64)]) -> Option<&'static str> {
+    EXEC_LEG_B
+        .into_iter()
+        .find(|name| metrics.iter().any(|(n, _)| n == name))
+}
+
 /// Whether `metric`'s baseline and latest readings measure the same
-/// workload, so their ratio means something. A perf file's `e2e_*`
-/// figures compare only when both blocks timed the same trial count:
-/// `BENCH_pr2.json`'s baseline is a 10-trial `paper_table1` sweep, while
-/// `perf smoke` writes a 4-trial `small_test` one.
+/// workload, so their ratio means something.
+///
+/// * A perf file's `e2e_*` figures compare only when both blocks timed
+///   the same trial count: `BENCH_pr2.json`'s baseline is a 10-trial
+///   `paper_table1` sweep, while `perf smoke` writes a 4-trial
+///   `small_test` one.
+/// * An exec file's speedup compares only when both blocks ran Leg B on
+///   the same executor: a baseline written while Leg B ran the windowed
+///   executor is no reference for a serial Leg B.
 fn comparable(file: &BenchFile, metric: &str) -> bool {
-    if file.schema != "blackdp-perf/v1" || !metric.starts_with("e2e_") {
-        return true;
-    }
-    match (e2e_trials(&file.baseline), e2e_trials(&file.latest)) {
-        (Some(base), Some(latest)) => base == latest,
-        _ => false,
+    match file.schema.as_str() {
+        "blackdp-perf/v1" if metric.starts_with("e2e_") => {
+            match (e2e_trials(&file.baseline), e2e_trials(&file.latest)) {
+                (Some(base), Some(latest)) => base == latest,
+                _ => false,
+            }
+        }
+        "blackdp-exec/v1" if metric == "exec_speedup_median" => {
+            exec_leg_b(&file.baseline) == exec_leg_b(&file.latest)
+        }
+        _ => true,
     }
 }
 
@@ -230,7 +254,7 @@ fn main() {
     }
     if !mismatched.is_empty() {
         println!(
-            "  ({}: baseline and latest e2e runs timed different workloads; no drift shown)",
+            "  ({}: baseline and latest runs timed different workloads; no drift shown)",
             mismatched.join(", ")
         );
     }
@@ -271,15 +295,19 @@ mod tests {
             .collect()
     }
 
-    fn perf_file(baseline: &[(&str, f64)], latest: &[(&str, f64)]) -> BenchFile {
+    fn bench_file(schema: &str, baseline: &[(&str, f64)], latest: &[(&str, f64)]) -> BenchFile {
         let owned = |m: &[(&str, f64)]| m.iter().map(|&(n, v)| (n.to_owned(), v)).collect();
         BenchFile {
             pr: 0,
-            schema: "blackdp-perf/v1".into(),
+            schema: schema.into(),
             mode: "smoke".into(),
             baseline: owned(baseline),
             latest: owned(latest),
         }
+    }
+
+    fn perf_file(baseline: &[(&str, f64)], latest: &[(&str, f64)]) -> BenchFile {
+        bench_file("blackdp-perf/v1", baseline, latest)
     }
 
     /// The committed perf files keep an e2e baseline taken on another
@@ -327,5 +355,76 @@ mod tests {
         // Per-operation figures compare across e2e workloads.
         let micro = perf_file(&[("sign_ns", 300.0)], &[("sign_ns", 150.0)]);
         assert_eq!(drift(&micro, "sign_ns"), Some(0.5));
+    }
+
+    /// The committed exec file predates the serial Leg B: both of its
+    /// blocks hold only the windowed rate, so its headline stays on that
+    /// rate and compares like with like.
+    #[test]
+    fn committed_exec_headline_reads_its_own_leg_b() {
+        let files = committed();
+        let exec = files
+            .iter()
+            .find(|f| f.schema == "blackdp-exec/v1")
+            .expect("results/ holds BENCH_pr10.json");
+        assert_eq!(
+            exec_leg_b(&exec.baseline),
+            Some("exec_events_per_s_memo_windowed")
+        );
+        assert_eq!(
+            exec_leg_b(&exec.latest),
+            Some("exec_events_per_s_memo_windowed")
+        );
+        let metric = headline(exec).expect("exec files have a headline");
+        assert_eq!(metric, "exec_events_per_s_memo_windowed");
+        assert!(drift(exec, &metric).is_some());
+        assert!(drift(exec, "exec_speedup_median").is_some());
+    }
+
+    /// A serial-Leg-B run over a baseline block recorded with the
+    /// windowed Leg B (what the next `exec` run writes over the committed
+    /// file) shows no cross-executor ratio.
+    #[test]
+    fn serial_leg_b_over_a_windowed_baseline_shows_no_drift() {
+        let files = committed();
+        let committed_exec = files
+            .iter()
+            .find(|f| f.schema == "blackdp-exec/v1")
+            .expect("results/ holds BENCH_pr10.json");
+        let baseline: Vec<(&str, f64)> = committed_exec
+            .baseline
+            .iter()
+            .map(|(n, v)| (n.as_str(), *v))
+            .collect();
+        let file = bench_file(
+            "blackdp-exec/v1",
+            &baseline,
+            &[
+                ("exec_events_per_s_scalar_serial", 100_000.0),
+                ("exec_events_per_s_memo_serial", 240_000.0),
+                ("exec_speedup_median", 2.4),
+            ],
+        );
+        let metric = headline(&file).expect("exec files have a headline");
+        assert_eq!(metric, "exec_events_per_s_memo_serial");
+        assert_eq!(resolve(&file.baseline, &metric), None);
+        assert_eq!(fmt_drift(drift(&file, &metric)), "-");
+        assert_eq!(drift(&file, "exec_speedup_median"), None);
+        // Leg A never changed executor; its rate still compares.
+        assert!(drift(&file, "exec_events_per_s_scalar_serial").is_some());
+        // Once the baseline is a serial-Leg-B block too, drift returns.
+        let same = bench_file(
+            "blackdp-exec/v1",
+            &[
+                ("exec_events_per_s_memo_serial", 200_000.0),
+                ("exec_speedup_median", 2.0),
+            ],
+            &[
+                ("exec_events_per_s_memo_serial", 240_000.0),
+                ("exec_speedup_median", 2.4),
+            ],
+        );
+        assert_eq!(drift(&same, "exec_events_per_s_memo_serial"), Some(1.2));
+        assert!(drift(&same, "exec_speedup_median").is_some());
     }
 }

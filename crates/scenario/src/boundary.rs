@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use blackdp::{BlackDpMessage, BoundaryAuditStats, BoundaryAuditor, Wire};
-use blackdp_sim::{Time, WindowEvent};
+use blackdp_sim::Time;
 
 use crate::build::BuiltScenario;
 use crate::frame::Frame;
@@ -76,53 +76,6 @@ pub fn attach_boundary_audit(built: &mut BuiltScenario, target_width: usize) -> 
             observe_wire(&mut sink.borrow_mut(), &frame.wire, at);
         },
     ));
-    auditor
-}
-
-/// Safety cap on the prefetcher's queue: a pathological window with more
-/// sealed envelopes than this auto-flushes early rather than growing the
-/// batch arena without bound. Real windows sit far below it.
-const PREFETCH_WIDTH_CAP: usize = 4096;
-
-/// Installs a window-boundary verification prefetcher over the windowed
-/// executor's tap (see [`WindowEvent`]).
-///
-/// During each parallel window's serial scan, every sealed envelope in an
-/// admitted delivery is enqueued; at the window's
-/// [`Flush`](WindowEvent::Flush) mark — after the scan, before any
-/// handler runs — the whole window verifies through one
-/// [`VerifyQueue`](blackdp::VerifyQueue) flush. That batch is as wide as
-/// the window's envelope traffic, so it rides the batch verifier's
-/// shared-exponentiation lanes past the ≤ 2 signatures-per-flush ceiling
-/// the in-handler queue is structurally stuck at (the PR-7 finding), and
-/// every verdict lands in the process-global envelope memo. When the
-/// handlers then verify the same envelopes — on whatever worker thread
-/// the executor scheduled them — each in-handler `verify_one` is a memo
-/// hit: no signature math, just a digest lookup.
-///
-/// Observational by construction: the tap fires on the serial scan (no
-/// RNG draws, no stats), verdicts are pure functions of envelope bytes,
-/// and the time-dependent validity window is never memoized — so
-/// attaching the prefetcher cannot change a trace byte, only wall-clock
-/// time. Inert under the serial executor (the tap never fires).
-pub fn attach_window_prefetch(built: &mut BuiltScenario) -> AuditorHandle {
-    let auditor: AuditorHandle = Rc::new(RefCell::new(BoundaryAuditor::new(
-        built.ta_key,
-        PREFETCH_WIDTH_CAP,
-    )));
-    let sink = Rc::clone(&auditor);
-    built
-        .world
-        .set_window_tap(Box::new(move |event: WindowEvent<'_, Frame>| {
-            match event {
-                WindowEvent::Delivery { at, payload, .. } => {
-                    observe_wire(&mut sink.borrow_mut(), &payload.wire, at);
-                }
-                WindowEvent::Flush { .. } => {
-                    sink.borrow_mut().flush();
-                }
-            }
-        }));
     auditor
 }
 

@@ -4,7 +4,7 @@ use blackdp::BlackDpConfig;
 use blackdp_aodv::AodvConfig;
 use blackdp_attacks::EvasionPolicy;
 use blackdp_mobility::{ClusterPlan, Highway, Kmh, SpawnConfig};
-use blackdp_sim::{Duration, ExecutorMode, NeighborIndex, WorldBackend};
+use blackdp_sim::{Duration, NeighborIndex, WorldBackend};
 
 use crate::vehicle::DefenseMode;
 use blackdp_aodv::Addr;
@@ -80,13 +80,6 @@ pub struct ScenarioConfig {
     /// The motion-bound staleness horizon is derived from
     /// `max_speed_kmh`, which already bounds every spawned trajectory.
     pub backend: WorldBackend,
-    /// Which event loop drives the world: the serial oracle (the default)
-    /// or the conservative-window parallel executor. Bit-identical for any
-    /// thread count — traces, `Stats::digest`, detection verdicts, and
-    /// checkpoint witnesses do not change — so, like `backend`, this is
-    /// purely a throughput knob. The `BLACKDP_EXECUTOR` environment
-    /// variable (`serial` / `windowed`) overrides it at build time.
-    pub executor: ExecutorMode,
 }
 
 impl ScenarioConfig {
@@ -116,7 +109,6 @@ impl ScenarioConfig {
             fading_full_fraction: None,
             neighbor_index: NeighborIndex::Grid,
             backend: WorldBackend::Serial,
-            executor: ExecutorMode::Serial,
         }
     }
 

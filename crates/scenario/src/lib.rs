@@ -51,9 +51,7 @@ mod ta_node;
 mod trace;
 mod vehicle;
 
-pub use boundary::{
-    attach_boundary_audit, attach_window_prefetch, drain as drain_boundary_audit, AuditorHandle,
-};
+pub use boundary::{attach_boundary_audit, drain as drain_boundary_audit, AuditorHandle};
 pub use build::{build_scenario, harvest, run_trial, BuiltScenario, PHANTOM_DEST, TA_ADDR_BASE};
 pub use config::{ch_addr, far_destination, AttackSetup, ScenarioConfig, TrialSpec, CH_ADDR_BASE};
 pub use directory::WiredDirectory;

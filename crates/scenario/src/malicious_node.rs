@@ -354,15 +354,6 @@ impl Node<Frame, Tick> for MaliciousNode {
         self.trajectory.position_at(now)
     }
 
-    /// Attackers may flee — despawn — straight from `on_packet` (the
-    /// paper's "leaves the network instead of responding" manoeuvre), which
-    /// changes the engine's gating state for later same-window deliveries.
-    /// Marking the node exclusive keeps its deliveries on the windowed
-    /// executor's serial path; see [`Node::exclusive_dispatch`].
-    fn exclusive_dispatch(&self) -> bool {
-        true
-    }
-
     fn on_start(&mut self, ctx: &mut Context<'_, Frame, Tick>) {
         let phase = Duration::from_micros(
             u64::from(ctx.self_id().index()) * self.cfg.profile.phase_multiplier % 50_000,

@@ -322,14 +322,13 @@ fn u64_at(buf: &[u8], pos: &mut usize, what: &'static str) -> Result<u64, Snapsh
 /// renderings (stable, total, derive-generated) make a sound identity: a
 /// snapshot only ever resumes the exact trial that produced it.
 pub fn trial_fingerprint(cfg: &ScenarioConfig, spec: &TrialSpec, faults: &FaultSpec) -> u64 {
-    // The execution backend, neighbor index, and executor are throughput
-    // knobs that cannot change a single output byte, so they are normalized
-    // out of the fingerprint: a snapshot recorded under the serial backend
-    // (or executor) must resume under a sharded/windowed one and vice versa.
+    // The execution backend and neighbor index are throughput knobs that
+    // cannot change a single output byte, so they are normalized out of
+    // the fingerprint: a snapshot recorded under the serial backend must
+    // resume under a sharded one and vice versa.
     let mut cfg = cfg.clone();
     cfg.backend = blackdp_sim::WorldBackend::Serial;
     cfg.neighbor_index = blackdp_sim::NeighborIndex::Grid;
-    cfg.executor = blackdp_sim::ExecutorMode::Serial;
     let cfg = &cfg;
     let mut h = fnv64_continue(FNV_OFFSET, format!("{cfg:?}").as_bytes());
     h = fnv64_continue(h, b"|");

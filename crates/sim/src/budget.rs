@@ -1,14 +1,10 @@
 //! Unified thread budget for every parallel subsystem.
 //!
-//! Before PR 8, `BLACKDP_THREADS` only governed sweep workers
-//! (`scenario/src/parallel.rs`); the sharded world introduced a second
-//! consumer of host parallelism (band rebuild workers) and the windowed
-//! executor a third (window handler lanes) — they must not each
-//! independently claim every core. This module is the single source of
-//! truth: sweep-level workers, shard-level rebuild workers, and
-//! executor-level window lanes all call [`thread_budget`], so one
-//! environment variable bounds the process-wide parallelism regardless of
-//! which layer spends it.
+//! Two layers spend host parallelism: sweep workers
+//! (`scenario/src/parallel.rs`) and the sharded world's band rebuild
+//! workers. They must not each independently claim every core, so both
+//! call [`thread_budget`], and one environment variable bounds the
+//! process-wide parallelism regardless of which layer spends it.
 //!
 //! Precedence (documented in the README):
 //!
@@ -18,9 +14,9 @@
 //! 3. otherwise 1.
 //!
 //! Determinism note: the budget only ever controls **how many workers** chew
-//! through deterministically ordered work lists (sweep trials, shard bands,
-//! window handler lanes); results are merged in fixed order, so the budget
-//! never affects output bytes — only wall-clock time.
+//! through deterministically ordered work lists (sweep trials, shard bands);
+//! results are merged in fixed order, so the budget never affects output
+//! bytes — only wall-clock time.
 
 /// Maximum worker threads any parallel subsystem may use.
 ///

@@ -227,18 +227,6 @@ impl FaultInjector {
             .map(|t| t.probability)
             .fold(0.0, f64::max)
     }
-
-    /// Whether any tampering window with non-zero probability overlaps the
-    /// half-open span `[from, until)`. The windowed executor refuses to
-    /// form parallel windows over such spans: the tamper decision draws
-    /// from the world RNG *on delivery*, so those events must run through
-    /// the serial step to keep the RNG stream byte-identical.
-    pub(crate) fn tamper_active_in(&self, from: Time, until: Time) -> bool {
-        self.plan
-            .tampering
-            .iter()
-            .any(|t| t.probability > 0.0 && t.window.from < until && from < t.window.until)
-    }
 }
 
 #[cfg(test)]

@@ -15,12 +15,11 @@
 //! scheme: ids are `(dispatch index << 16) | within-dispatch index`,
 //! strictly increasing in arming order, exactly as the simulator mints them
 //! (see [`Context::set_timer`]). A protocol node therefore cannot observe
-//! whether it is running under the simulator's serial loop, the windowed
-//! executor, or a live daemon.
+//! whether it is running under the simulator or a live daemon.
 
 use crate::event::{Channel, TimerId};
 use crate::id::NodeId;
-use crate::node::{Context, Effect, Node, StatSink, TIMER_LOCAL_BITS};
+use crate::node::{Context, Effect, Node, TIMER_LOCAL_BITS};
 use crate::stats::Stats;
 use crate::time::Time;
 
@@ -119,7 +118,7 @@ impl NodeHarness {
         let mut ctx = Context {
             now,
             self_id,
-            stats: StatSink::Direct(&mut self.stats),
+            stats: &mut self.stats,
             timer_base,
             timers_armed: 0,
             effects: Vec::new(),

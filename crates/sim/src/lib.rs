@@ -88,6 +88,6 @@ pub use stats::Stats;
 pub use time::{Duration, Time};
 pub use wallclock::WallClock;
 pub use world::{
-    BoundaryTap, EngineStamp, ExecutorMode, NeighborIndex, RadioModel, Tap, TamperHook,
-    WindowEvent, WindowTap, World, WorldBackend, WorldConfig,
+    BoundaryTap, EngineStamp, NeighborIndex, RadioModel, Tap, TamperHook, World, WorldBackend,
+    WorldConfig,
 };

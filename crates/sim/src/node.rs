@@ -17,30 +17,22 @@ use crate::{Duration, NodeId, Position, Stats, Time};
 /// concrete types for post-run inspection via
 /// [`World::get`](crate::World::get).
 ///
-/// The `Send + Sync` supertraits exist for the sharded backend and the
-/// windowed executor: band rebuild workers evaluate `position` for disjoint
-/// resident sets through a shared `&[Slot]` view on scoped threads, and the
-/// windowed executor runs `on_packet` for disjoint node sets on scoped
-/// worker threads. A node is only ever *mutated* by one thread at a time —
-/// the bounds assert that handing a node to another thread is safe, nothing
-/// more.
+/// The `Send + Sync` supertraits exist for the sharded backend: band
+/// rebuild workers evaluate `position` for disjoint resident sets through
+/// a shared `&[Slot]` view on scoped threads. Nodes are only ever
+/// *mutated* by the engine's one event loop.
 ///
 /// # Handler purity contract
 ///
 /// Callbacks are **effect emitters**: they may mutate their own node's
 /// state and push effects/statistics into the [`Context`], but they get no
 /// handle to the world, the engine RNG, or other nodes. The engine applies
-/// the buffered effects afterwards in a serial commit step — this is what
-/// lets the windowed executor run same-window handlers in parallel while
-/// staying bit-identical to the serial engine. Two further obligations:
-///
-/// * [`Node::position`] must be a **pure function of construction state and
-///   `now`** — trajectories may not depend on packets received. Every node
-///   in this repository satisfies this (attackers fake movement inside
-///   packet *contents*, not their trajectory).
-/// * A node whose `on_packet` may call [`Context::despawn`] (or otherwise
-///   must never share a parallel window with other deliveries) should
-///   override [`Node::exclusive_dispatch`].
+/// the buffered effects after the callback returns, in emission order.
+/// [`Node::position`] must be a **pure function of construction state and
+/// `now`** — trajectories may not depend on packets received. Every node
+/// in this repository satisfies this (attackers fake movement inside
+/// packet *contents*, not their trajectory); the sharded index's
+/// staleness horizon relies on it.
 pub trait Node<P, T>: std::any::Any + Send + Sync {
     /// The node's position at virtual time `now`, in meters.
     ///
@@ -88,19 +80,6 @@ pub trait Node<P, T>: std::any::Any + Send + Sync {
     fn state_digest(&self) -> u64 {
         0
     }
-
-    /// Whether deliveries to this node must be dispatched alone.
-    ///
-    /// The windowed executor never places a delivery to an exclusive node
-    /// in a parallel window: the event runs through the classic serial
-    /// step instead, so effects that change the engine's gating state for
-    /// *later* events — [`Context::despawn`] from `on_packet` is the one
-    /// such effect in this codebase — commit before the next event is even
-    /// examined. Nodes that never despawn from `on_packet` keep the
-    /// default `false`.
-    fn exclusive_dispatch(&self) -> bool {
-        false
-    }
 }
 
 /// An effect emitted by a node callback, applied by the world afterwards.
@@ -112,30 +91,6 @@ pub(crate) enum Effect<P, T> {
     SetTimer { id: TimerId, at: Time, token: T },
     CancelTimer(TimerId),
     Despawn,
-}
-
-/// Where a [`Context`] routes its statistics increments.
-///
-/// The serial engine hands callbacks a direct borrow of the world's
-/// counters (zero-allocation hot path, unchanged from before the windowed
-/// executor). Parallel window workers stage increments into an owned
-/// [`Stats`] instead, merged into the world's counters by the serial commit
-/// step — counters are additive and [`Stats::digest`] is key-ordered, so
-/// the merge is bit-identical to having counted directly.
-#[derive(Debug)]
-pub(crate) enum StatSink<'a> {
-    Direct(&'a mut Stats),
-    Staged(Stats),
-}
-
-impl StatSink<'_> {
-    #[inline]
-    fn add(&mut self, key: &str, n: u64) {
-        match self {
-            StatSink::Direct(stats) => stats.add(key, n),
-            StatSink::Staged(stats) => stats.add(key, n),
-        }
-    }
 }
 
 /// Number of low bits of a [`TimerId`] holding the within-dispatch index;
@@ -150,12 +105,11 @@ pub(crate) const TIMER_LOCAL_BITS: u32 = 16;
 pub struct Context<'a, P, T> {
     pub(crate) now: Time,
     pub(crate) self_id: NodeId,
-    pub(crate) stats: StatSink<'a>,
+    pub(crate) stats: &'a mut Stats,
     /// High bits of every [`TimerId`] armed in this dispatch: the engine's
     /// dispatch index shifted left by [`TIMER_LOCAL_BITS`]. Dispatch
-    /// indices are assigned in serial `(time, seq)` order by the engine —
-    /// never by worker threads — so timer ids are identical for any thread
-    /// count.
+    /// indices count handler dispatches in `(time, seq)` order, so a
+    /// timer id is fixed by the event history alone.
     pub(crate) timer_base: u64,
     /// Timers armed so far in this dispatch (the next local timer index).
     pub(crate) timers_armed: u16,
@@ -207,10 +161,9 @@ impl<P, T> Context<'_, P, T> {
     /// [`Node::on_timer`]. Returns an id usable with [`Self::cancel_timer`].
     ///
     /// Timer ids are `(dispatch index << 16) | within-dispatch index`:
-    /// strictly increasing in arming order (like the old global counter)
-    /// and — because dispatch indices are assigned by the engine's serial
-    /// scan, never by worker threads — independent of the executor's
-    /// thread count.
+    /// strictly increasing in arming order (like the old global counter),
+    /// and minted the same way by the simulator and by
+    /// [`NodeHarness`](crate::NodeHarness).
     ///
     /// # Panics
     ///
